@@ -41,6 +41,7 @@ pub mod lock;
 pub mod message;
 pub mod monitor;
 pub mod net;
+mod serve;
 pub mod sim;
 pub mod trace_analysis;
 

@@ -73,6 +73,20 @@ const BODY_SERVED: u8 = 0;
 const BODY_REDIRECT: u8 = 1;
 const BODY_NOT_FOUND: u8 = 2;
 
+impl ResponseBody {
+    /// The outcome as one code, the same as the wire tag: 0 served,
+    /// 1 redirect, 2 not-found. Spans, latency lanes and the slow log
+    /// all report it.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        match self {
+            ResponseBody::Served { .. } => BODY_SERVED,
+            ResponseBody::Redirect { .. } => BODY_REDIRECT,
+            ResponseBody::NotFound => BODY_NOT_FOUND,
+        }
+    }
+}
+
 /// Body length of a [`Request`] frame (id + kind + target + hops +
 /// trace flag + trace id + parent span id).
 pub const REQUEST_WIRE_BYTES: usize = 8 + 1 + 4 + 4 + 1 + 8 + 8;

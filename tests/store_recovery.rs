@@ -349,12 +349,13 @@ fn live_cluster_restart_recovers_from_disk() {
         assert!(recovered_seen, "seed {seed}: no StoreRecovered event");
         assert!(delta_seen, "seed {seed}: no GlDeltaSync event");
 
-        // recovery_ms is reported for the restarted MDS.
+        // recovery_ms is reported for the restarted MDS: one sample from
+        // opening its store at boot, one from the restart.
         let snap = cluster.registry().snapshot();
         let recovery_reported = snap
             .histograms
             .iter()
-            .any(|(k, h)| k.name == names::RECOVERY_MS && h.count > 0);
+            .any(|(k, h)| k.name == names::RECOVERY_MS && k.mds == Some(victim.0) && h.count >= 2);
         assert!(recovery_reported, "seed {seed}: recovery_ms not recorded");
 
         // The invariant checker cross-checks the recovered durable state
